@@ -24,7 +24,11 @@ Two entry points, following ``bench_fuzz.py``:
   kernels plus a baseline-vs-kernel differential fuzz leg, writing the
   per-size speedups to ``BENCH_kernel.json``.  Exits nonzero if the
   verdicts ever diverge or the kernel fails to beat the baseline at the
-  largest size.
+  largest size.  A second series, ``cold-cover``, times the packed
+  implication of :mod:`repro.kernel.implication` on one cold |Sigma|=200
+  Fig 5 cover (Sigma scoped to the view's sources, as ``PropCFD_SPC``
+  line 1 sees it): the input MinCover and the whole cover under each
+  kernel, with a byte-identity check of both.
 
 Env knobs:
 
@@ -41,11 +45,14 @@ import sys
 import time
 from pathlib import Path
 
+from repro.core.mincover import min_cover
 from repro.kernel import KERNELS
 from repro.propagation.check import BranchPairCache, find_counterexample
 from repro.propagation.closure_baseline import example_41_workload
+from repro.propagation.cover import prop_cfd_spc_report
+from repro.propagation.engine import scoped_sigma, touched_relations
 
-from conftest import record_point
+from conftest import make_schema, make_sigma, make_view, record_point
 
 SIZES = [
     int(part)
@@ -78,6 +85,48 @@ def _cold_batch(kernel: str, n: int) -> tuple[float, list[bool]]:
         else:
             assert answers == verdicts, "cold batch verdicts must be stable"
     return best, verdicts
+
+
+def _best_of(call) -> tuple[float, object]:
+    """Best-of-``REPEATS`` seconds of *call* plus its (stable) result."""
+    best, result = float("inf"), None
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
+def _cold_cover(size: int = 200, var_pct: float = 0.5) -> tuple[dict, bool]:
+    """One cold Fig 5 cover per kernel: MinCover and cover times."""
+    schema = make_schema()
+    view = make_view(schema)
+    sigma = make_sigma(schema, size, var_pct)
+    scoped = scoped_sigma(sigma, touched_relations(view))
+    cells: dict[str, float] = {}
+    answers: dict[str, tuple] = {}
+    for kernel in KERNELS:
+        mc_s, minimized = _best_of(lambda: min_cover(scoped, kernel=kernel))
+        cover_s, report = _best_of(
+            lambda: prop_cfd_spc_report(sigma, view, kernel=kernel)
+        )
+        cells[f"{kernel}_mincover_s"] = round(mc_s, 6)
+        cells[f"{kernel}_cover_s"] = round(cover_s, 6)
+        answers[kernel] = (
+            [repr(phi) for phi in minimized],
+            [repr(phi) for phi in report.cover],
+        )
+    identical = answers["bitset"] == answers["baseline"]
+    entry = {
+        "workload": f"Fig 5 view (|Y|=25, |F|=10, |Ec|=4), |Sigma|={size}, var%={int(var_pct * 100)}",
+        "repeats": REPEATS,
+        "scoped_sigma": len(scoped),
+        **cells,
+        "mincover_speedup": round(cells["baseline_mincover_s"] / cells["bitset_mincover_s"], 2),
+        "cover_speedup": round(cells["baseline_cover_s"] / cells["bitset_cover_s"], 2),
+        "identical": identical,
+    }
+    return entry, identical
 
 
 def _warm_imports() -> None:
@@ -156,6 +205,17 @@ def _smoke() -> int:
         )
         failed = True
 
+    cover_entry, identical = _cold_cover()
+    print(
+        f"bench_kernel --smoke: cold Fig 5 cover MinCover "
+        f"baseline={cover_entry['baseline_mincover_s'] * 1e3:.1f}ms "
+        f"bitset={cover_entry['bitset_mincover_s'] * 1e3:.1f}ms "
+        f"({cover_entry['mincover_speedup']}x), identical={identical}"
+    )
+    if not identical:
+        print("bench_kernel --smoke: packed MinCover diverges from the baseline", file=sys.stderr)
+        failed = True
+
     # The differential leg: the fuzz matrix restricted to baseline vs
     # the kernel-pinned service, so the artifact also records that the
     # speedup was measured on answer-identical implementations.
@@ -175,6 +235,7 @@ def _smoke() -> int:
             "sizes": dict(sorted(sweep.items())),
         },
     )
+    _record_bench("cold-cover", cover_entry)
     _record_bench(
         "differential",
         {

@@ -110,10 +110,40 @@ def propagation_engine():
     engine.close()
 
 
+def make_schema():
+    """The source schema shared by every benchmark (10 relations)."""
+    return random_schema(random.Random(SEED), num_relations=10)
+
+
+def make_sigma(schema, size: int, var_pct: float):
+    """The seeded source-CFD set of one (|Sigma|, var%) grid point."""
+    rng = random.Random(SEED + size + int(var_pct * 100))
+    return random_cfds(rng, schema, size, max_lhs=9, min_lhs=3, var_pct=var_pct)
+
+
+def make_view(
+    schema,
+    num_projected: int = PAPER_Y,
+    num_selections: int = PAPER_F,
+    num_atoms: int = PAPER_EC,
+    block_projection: bool = True,
+):
+    """The seeded SPC view of one (|Y|, |F|, |Ec|) grid point."""
+    rng = random.Random(SEED + 7919 * num_projected + 31 * num_selections + num_atoms)
+    return random_spc_view(
+        rng,
+        schema,
+        num_projected=num_projected,
+        num_selections=num_selections,
+        num_atoms=num_atoms,
+        block_projection=block_projection,
+    )
+
+
 @pytest.fixture(scope="session")
 def source_schema():
     """One source schema shared by every benchmark (>= 10 relations)."""
-    return random_schema(random.Random(SEED), num_relations=10)
+    return make_schema()
 
 
 @pytest.fixture(scope="session")
@@ -124,10 +154,7 @@ def sigma_cache(source_schema):
     def get(size: int, var_pct: float):
         key = (size, var_pct)
         if key not in cache:
-            rng = random.Random(SEED + size + int(var_pct * 100))
-            cache[key] = random_cfds(
-                rng, source_schema, size, max_lhs=9, min_lhs=3, var_pct=var_pct
-            )
+            cache[key] = make_sigma(source_schema, size, var_pct)
         return cache[key]
 
     return get
@@ -153,17 +180,7 @@ def view_cache(source_schema):
     ):
         key = (num_projected, num_selections, num_atoms, block_projection)
         if key not in cache:
-            rng = random.Random(
-                SEED + 7919 * num_projected + 31 * num_selections + num_atoms
-            )
-            cache[key] = random_spc_view(
-                rng,
-                source_schema,
-                num_projected=num_projected,
-                num_selections=num_selections,
-                num_atoms=num_atoms,
-                block_projection=block_projection,
-            )
+            cache[key] = make_view(source_schema, *key)
         return cache[key]
 
     return get

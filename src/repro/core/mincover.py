@@ -28,12 +28,18 @@ from .schema import RelationSchema
 def min_cover(
     sigma: Iterable[CFD],
     schema: RelationSchema | None = None,
+    kernel: str | None = None,
 ) -> list[CFD]:
     """Compute a minimal cover of *sigma*.
 
     Deterministic: CFDs are processed in sorted (repr) order so the same
     input always yields the same cover.  The result consists of
     normal-form, nontrivial CFDs.
+
+    *kernel* ``"bitset"`` answers the implication tests on the packed
+    program of :mod:`repro.kernel.implication` (byte-identical covers);
+    anything else, a finite-domain *schema* and a relation holding an
+    equality-form CFD run :func:`~repro.core.implication.implies`.
     """
     normalized: list[CFD] = []
     for dep in sigma:
@@ -48,16 +54,25 @@ def min_cover(
     for phi in normalized:
         by_relation.setdefault(phi.relation, []).append(phi)
 
+    packed = kernel == "bitset" and (
+        schema is None or not schema.has_finite_domain_attribute()
+    )
     result: list[CFD] = []
     for relation in sorted(by_relation):
-        result.extend(_min_cover_relation(by_relation[relation], schema))
+        result.extend(_min_cover_relation(by_relation[relation], schema, packed))
     return result
 
 
 def _min_cover_relation(
-    sigma: list[CFD], schema: RelationSchema | None
+    sigma: list[CFD], schema: RelationSchema | None, packed: bool = False
 ) -> list[CFD]:
     current = sorted(set(sigma), key=repr)
+    if packed:
+        from ..kernel.implication import packed_min_cover_relation
+
+        cover = packed_min_cover_relation(current)
+        if cover is not None:
+            return cover
 
     current = [_trim_lhs(phi, current, schema) for phi in current]
     current = sorted(set(current), key=repr)

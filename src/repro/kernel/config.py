@@ -4,8 +4,10 @@ Two kernels exist (``KERNELS``):
 
 - ``"bitset"`` — the factorised, bit-packed fast path of this package:
   attribute closures on int bitmasks, equivalence classes on int
-  union-find, and the single-chase branch-pair loop on a packed
-  union-find over interned cell ids (:mod:`repro.kernel.chase`).
+  union-find, the single-chase branch-pair loop on a packed
+  union-find over interned cell ids (:mod:`repro.kernel.chase`), and
+  ``MinCover``'s implication tests on compiled rule programs
+  (:mod:`repro.kernel.implication`).
 - ``"baseline"`` — the original frozenset/dict implementation, kept as
   the differential oracle.
 

@@ -83,7 +83,6 @@ def prop_cfd_spc(
     partition_size: int | None = 40,
     final_min_cover: bool = True,
     minimize_input: bool = True,
-    sigma_scope: frozenset[str] | None = None,
 ) -> list[CFD]:
     """Compute a minimal propagation cover of *sigma* via *view*.
 
@@ -98,7 +97,6 @@ def prop_cfd_spc(
         partition_size=partition_size,
         final_min_cover=final_min_cover,
         minimize_input=minimize_input,
-        sigma_scope=sigma_scope,
     ).cover
 
 
@@ -110,38 +108,38 @@ def prop_cfd_spc_report(
     minimize_input: bool = True,
     rbr_stats: RBRStats | None = None,
     kernel: str | None = None,
-    sigma_scope: frozenset[str] | None = None,
 ) -> CoverReport:
     """As :func:`prop_cfd_spc`, returning intermediate-size diagnostics.
 
-    ``minimize_input=False`` also serves callers (the batch engine) that
-    pre-minimize Sigma once and share it across many views; *rbr_stats*
-    accumulates RBR work counters across calls.  *kernel* selects the
-    ``ComputeEQ`` union-find representation (``"bitset"`` → the packed
-    int-array variant; answers are identical either way).
+    Sigma is first restricted to CFDs on the view's atom sources.  The
+    cover is invariant under that scoping: ``MinCover`` minimizes per
+    relation and ``rename_source_cfds`` renames per atom, so CFDs on
+    relations the view never reads contribute nothing — but minimizing
+    them would dominate line 1 (the Fig 5 view reads 3 of 10 relations).
+    The scope is also the per-branch provenance the engine's delta path
+    keys its memos on.
 
-    *sigma_scope* restricts Sigma to CFDs on the named relations before
-    anything runs.  The cover is invariant under scoping to (a superset
-    of) the view's atom sources: ``MinCover`` minimizes per relation and
-    ``rename_source_cfds`` renames per atom, so CFDs on relations the
-    view never reads contribute nothing — which is exactly the
-    per-branch provenance the engine's delta path keys its branch-cover
-    memo on.  Passing the scope makes the computation itself honor it,
-    instead of leaving the invariant implicit.
+    ``minimize_input=False`` also serves callers (the batch engine) that
+    pre-minimize the scoped Sigma once and share it across many views;
+    *rbr_stats* accumulates RBR work counters across calls.  *kernel*
+    ``"bitset"`` selects the packed ``ComputeEQ`` union-find and the
+    packed implication tests of both ``MinCover`` runs (lines 1 and 13);
+    answers are identical either way.
     """
     timer = time.perf_counter
 
+    sources = {atom.source for atom in view.atoms}
     sigma_cfds: list[CFD] = []
     for dep in sigma:
+        if dep.relation not in sources:
+            continue
         if isinstance(dep, FD):
             dep = CFD.from_fd(dep)
         sigma_cfds.extend(dep.normalize())
-    if sigma_scope is not None:
-        sigma_cfds = [phi for phi in sigma_cfds if phi.relation in sigma_scope]
 
     start = timer()
     if minimize_input:
-        sigma_cfds = min_cover(sigma_cfds)  # line 1
+        sigma_cfds = min_cover(sigma_cfds, kernel=kernel)  # line 1
     t_input = timer() - start
 
     sigma_v = view.rename_source_cfds(sigma_cfds)  # lines 5-6
@@ -177,7 +175,7 @@ def prop_cfd_spc_report(
     start = timer()
     combined = sigma_c + sigma_d
     if final_min_cover:
-        report.cover = min_cover(combined)  # line 13
+        report.cover = min_cover(combined, kernel=kernel)  # line 13
         report.seconds_final_mincover = timer() - start
     else:
         seen: set[CFD] = set()

@@ -22,9 +22,9 @@ scheduler layer).
   pairs per view, coupled skeletons per LHS shape, and chased results per
   ``(Sigma, pair, LHS shape)`` in the single-chase setting.
 - ``cover(sigma, view)`` / ``cover_many(sigma, views)`` — propagation
-  covers with the input ``MinCover(Sigma)`` computed once per Sigma and
-  shared across views, and SPCU candidate verification routed through the
-  cached checker.
+  covers with the input ``MinCover(Sigma)`` computed once per view-scoped
+  Sigma and shared across views over the same sources, and SPCU
+  candidate verification routed through the cached checker.
 - A *closure fast path*: for all-FD dependencies over selection-free,
   constant-free, infinite-domain views, ``Sigma |=_V (X -> B)`` reduces
   to per-atom FD implication, decided by the memoized
@@ -92,7 +92,7 @@ from ..check import (
     _as_cfds,
     find_counterexample,
 )
-from ..cover import prop_cfd_spc, prop_cfd_spc_report
+from ..cover import prop_cfd_spc_report
 from ..rbr import RBRStats
 from ..spcu_cover import prop_cfd_spcu
 from ...store import DEFAULT_LEASE_TTL, BlobStore, SqliteStore, open_store
@@ -420,7 +420,8 @@ class PropagationEngine:
             decode=_decode_cover,
         )
         self._pair_caches: dict[tuple, BranchPairCache] = {}
-        self._min_sigma: dict[frozenset, list[CFD]] = {}
+        #: Figure 2 line 1 per view-scoped Sigma (see _minimized_sigma).
+        self._min_sigma = LRUCache(capacity=cache_size)
         self._fast_contexts: dict[tuple, "_FastPathContext | None"] = {}
         # The delta-path memo layers (streaming Sigma).  Every key leads
         # with ``(scoped sigma frozenset, touched relations)`` so the
@@ -572,12 +573,6 @@ class PropagationEngine:
         for key in list(self._fast_contexts):
             if stale(key[0], self._touched.get(key_view(key))):
                 del self._fast_contexts[key]
-        for key in list(self._min_sigma):
-            if old_cfds is not None:
-                if key == frozenset(old_cfds):
-                    del self._min_sigma[key]
-            elif any(phi.relation in affected for phi in key):
-                del self._min_sigma[key]
         if old_cfds is None:
             # Pair-cache skeleton layers are Sigma-independent and the
             # chased layer is Sigma-keyed (stale entries unreachable),
@@ -1194,9 +1189,10 @@ class PropagationEngine:
     ) -> list[list[CFD]]:
         """Covers for many views over one Sigma, sharing the input MinCover.
 
-        ``PropCFD_SPC`` spends its view-independent prefix (Figure 2
-        line 1) minimizing Sigma; across a batch of views that cost is
-        paid once and memoized by Sigma fingerprint.  SPCU candidate
+        ``PropCFD_SPC`` opens (Figure 2 line 1) by minimizing Sigma
+        restricted to the view's sources; across a batch of views over
+        the same sources that cost is paid once and memoized per scoped
+        Sigma (an LRU bounded by ``cache_size``).  SPCU candidate
         verification is routed through :meth:`check`, so the k^2 pair
         tableaux are shared across all candidates of a union view — and
         sharded across the pool when ``shards > 1``.  Like
@@ -1215,7 +1211,6 @@ class PropagationEngine:
             )
         sigma = list(sigma)
         sigma_cfds = _as_cfds(sigma)
-        full_sigma_key = frozenset(sigma_cfds)
         settings = (self.max_instantiations, self.assume_infinite)
         memo_settings = self._memo_settings()
         covers: list[list[CFD] | None] = [None] * len(views)
@@ -1224,9 +1219,7 @@ class PropagationEngine:
         for idx, view in enumerate(views):
             self.stats.cover_queries += 1
             if not self.use_cache:
-                covers[idx] = self._compute_cover(
-                    sigma, sigma_cfds, full_sigma_key, view
-                )
+                covers[idx] = self._compute_cover(sigma, sigma_cfds, view)
                 continue
             view_key = _view_fingerprint(view)
             touched = self._touched_relations(view, view_key)
@@ -1266,7 +1259,7 @@ class PropagationEngine:
                     ]
                 else:
                     resolved = [
-                        self._compute_cover(sigma, sigma_cfds, full_sigma_key, v)
+                        self._compute_cover(sigma, sigma_cfds, v)
                         for v in miss_views
                     ]
                 for memo_key, cover in zip(keys, resolved):
@@ -1291,22 +1284,31 @@ class PropagationEngine:
         self._sync_tier_stats()
         return covers
 
-    def _minimized_sigma(self, sigma_cfds: list[CFD], sigma_key: frozenset) -> list[CFD]:
+    def _minimized_sigma(self, scoped: list[CFD], kernel: str) -> list[CFD]:
+        """Figure 2 line 1 on a view-scoped Sigma, memoized per scoped set.
+
+        Content-keyed, so an entry is never stale: an edit moves the key
+        of every view reading the edited relation, and the LRU bound
+        (``cache_size``) ages out the unreachable entries.
+        """
         if not self.use_cache:
-            return min_cover(sigma_cfds)
-        minimized = self._min_sigma.get(sigma_key)
+            return min_cover(scoped, kernel=kernel)
+        key = frozenset(scoped)
+        minimized = self._min_sigma.get(key)
         if minimized is None:
-            minimized = min_cover(sigma_cfds)
-            self._min_sigma[sigma_key] = minimized
+            minimized = min_cover(scoped, kernel=kernel)
+            self._min_sigma.put(key, minimized)
         return minimized
 
     def _compute_cover(
         self,
         sigma: list[DependencyLike],
         sigma_cfds: list[CFD],
-        sigma_key: frozenset,
         view: ViewLike,
     ) -> list[CFD]:
+        # Like the check path, the packed kernel serves cache-enabled
+        # engines; the uncached engine stays the baseline oracle.
+        kernel = self.kernel if self.use_cache else "baseline"
         if isinstance(view, SPCUView):
             if len(view.branches) == 1:
                 view = view.branches[0]
@@ -1332,8 +1334,8 @@ class PropagationEngine:
                 # previous cover — captured by invalidate_relations —
                 # as the verify-first seed.  Neither changes the
                 # answer: the pool generator is the verbatim
-                # prop_cfd_spc call (scoping is an invariant, see
-                # prop_cfd_spc_report), and the emitted cover is still
+                # PropCFD_SPC run (which scopes Sigma to the branch's
+                # sources itself), and the emitted cover is still
                 # MinCover of the full pool's survivors.
                 view_key = _view_fingerprint(view)
 
@@ -1347,12 +1349,12 @@ class PropagationEngine:
                     )
                     cover = self._branch_covers.get(memo_key)
                     if cover is None:
-                        cover = prop_cfd_spc(
+                        cover = prop_cfd_spc_report(
                             sigma_arg,
                             branch,
                             partition_size=partition_size,
-                            sigma_scope=b_touched,
-                        )
+                            kernel=kernel,
+                        ).cover
                         self._branch_covers.put(memo_key, cover)
                     return list(cover)
 
@@ -1375,13 +1377,15 @@ class PropagationEngine:
                     seed=seed,
                     seed_report=seed_report if seed else None,
                 )
-        minimized = self._minimized_sigma(sigma_cfds, sigma_key)
+        minimized = self._minimized_sigma(
+            scoped_sigma(sigma_cfds, touched_relations(view)), kernel
+        )
         report = prop_cfd_spc_report(
             minimized,
             view,
             minimize_input=False,
             rbr_stats=self.stats.rbr,
-            kernel=self.kernel,
+            kernel=kernel,
         )
         return report.cover
 

@@ -89,3 +89,39 @@ def _cust(ac, phn, name, street, city, zip_):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20080824)  # VLDB'08 started August 24.
+
+
+@pytest.fixture(scope="session")
+def fig5_fast():
+    """The Fig 5 setting and its REPRO_FAST Sigma pool.
+
+    Seeded exactly as ``benchmarks/conftest.py`` seeds it: a 10-relation
+    schema, the |Y|=25, |F|=10, |Ec|=4 block-projection view, and one
+    Sigma per (|Sigma|, var%) in {100, 200} x {0.4, 0.5}.
+    Returns ``(schema, view, {(size, var_pct): sigma})``.
+    """
+    from repro.generators import random_cfds, random_schema, random_spc_view
+
+    seed = 20080824
+    schema = random_schema(random.Random(seed), num_relations=10)
+    view = random_spc_view(
+        random.Random(seed + 7919 * 25 + 31 * 10 + 4),
+        schema,
+        num_projected=25,
+        num_selections=10,
+        num_atoms=4,
+        block_projection=True,
+    )
+    pool = {
+        (size, var_pct): random_cfds(
+            random.Random(seed + size + int(var_pct * 100)),
+            schema,
+            size,
+            max_lhs=9,
+            min_lhs=3,
+            var_pct=var_pct,
+        )
+        for size in (100, 200)
+        for var_pct in (0.4, 0.5)
+    }
+    return schema, view, pool

@@ -333,6 +333,40 @@ def test_bounded_engine_counts_evictions_and_stays_correct():
     )
 
 
+def test_minimized_sigma_memo_is_scoped_and_bounded():
+    """The input-MinCover memo keys on the view-scoped Sigma, holds at
+    most ``cache_size`` entries, and survives Sigma edits untouched."""
+    schema = DatabaseSchema(
+        [RelationSchema(name, ["A", "B", "C"]) for name in ("R1", "R2")]
+    )
+    views = [
+        SPCView(
+            f"V{name}",
+            schema,
+            [RelationAtom(name, {a: a for a in "ABC"})],
+            projection=["A", "B", "C"],
+        )
+        for name in ("R1", "R2")
+    ]
+    sigma = [
+        FD("R1", ("A",), ("B",)),
+        FD("R1", ("A", "C"), ("B",)),
+        FD("R2", ("B",), ("C",)),
+    ]
+    bounded = _engine(cache_size=1)
+    unbounded = _engine()
+    for view in views:
+        assert bounded.cover(sigma, view) == unbounded.cover(sigma, view)
+    assert [{phi.relation for phi in key} for key in unbounded._min_sigma.keys()] == [
+        {"R1"},
+        {"R2"},
+    ]
+    assert len(bounded._min_sigma) == 1
+    # Content-keyed: an edit moves keys instead of sweeping the memo.
+    unbounded.invalidate_relations({"R1"}, sigma)
+    assert len(unbounded._min_sigma) == 2
+
+
 # ----------------------------------------------------------------------
 # 4. Differential: cached + persistent + parallel == uncached.
 # ----------------------------------------------------------------------

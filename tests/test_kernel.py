@@ -11,7 +11,12 @@ seeded random streams so failures reproduce:
   counterexamples,
 - the automatic fallback: a construct the packed runner cannot intern
   (an unhashable view constant) flips it unusable and the query is
-  re-answered by the baseline.
+  re-answered by the baseline,
+- packed implication: ``min_cover(kernel="bitset")`` against the
+  baseline ``min_cover`` (byte-identical covers) on the Fig 5 pool,
+  constant-heavy streams and self-constant CFDs, single questions
+  against ``core.implication.implies``, and the fallback cases
+  (equality-form Sigma, finite-domain schema).
 """
 
 from __future__ import annotations
@@ -21,7 +26,11 @@ import random
 import pytest
 
 from repro import CFD
+from repro.core.domains import finite
 from repro.core.fd import FD, _closure_fixpoint
+from repro.core.implication import implies
+from repro.core.mincover import min_cover
+from repro.core.schema import Attribute, RelationSchema
 from repro.core.values import WILDCARD, is_wildcard
 from repro.generators import random_cfds, random_schema, random_spcu_view
 from repro.kernel import (
@@ -32,6 +41,8 @@ from repro.kernel import (
     resolve_kernel,
     validate_kernel,
 )
+from repro.kernel.implication import ImplicationProgram, packed_min_cover_relation
+from repro.propagation.cover import prop_cfd_spc_report
 from repro.propagation.eqclasses import BottomEQ, EquivalenceClasses
 from repro.propagation.engine import PropagationEngine
 
@@ -316,3 +327,200 @@ def test_unhashable_constant_falls_back_to_baseline():
                 runner = cache.kernel_runner(cfds, sigma_key)
                 assert runner.usable is False
         assert answers[0] == answers[1]
+
+
+# ----------------------------------------------------------------------
+# Packed implication: MinCover, bitset against the baseline.
+# ----------------------------------------------------------------------
+
+
+def _assert_same_min_cover(sigma, schema=None):
+    want = min_cover(sigma, schema, kernel="baseline")
+    got = min_cover(sigma, schema, kernel="bitset")
+    assert [repr(phi) for phi in got] == [repr(phi) for phi in want]
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("key", [(100, 0.4), (100, 0.5), (200, 0.4), (200, 0.5)])
+def test_min_cover_matches_baseline_on_fig5_pool(fig5_fast, key):
+    """The REPRO_FAST Fig 5 pool: the whole Sigma, then the cover itself
+    (input MinCover scoped to the view's sources, final MinCover over
+    view CFDs that carry equality-form members)."""
+    _, view, pool = fig5_fast
+    sigma = pool[key]
+    _assert_same_min_cover(sigma)
+    covers = [
+        prop_cfd_spc_report(sigma, view, kernel=kernel).cover for kernel in KERNELS
+    ]
+    assert [repr(phi) for phi in covers[0]] == [repr(phi) for phi in covers[1]]
+
+
+def test_engine_covers_match_the_uncached_baseline_on_fig5_pool(fig5_fast):
+    """The engine under its resolved kernel (``REPRO_KERNEL``, default
+    bitset) against the uncached baseline-kernel oracle: the scoped,
+    memoized input MinCover included."""
+    _, view, pool = fig5_fast
+    engine = PropagationEngine()
+    oracle = PropagationEngine(use_cache=False, kernel="baseline")
+    for key in ((100, 0.5), (200, 0.4)):
+        assert engine.cover(pool[key], view) == oracle.cover(pool[key], view)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("constant_lhs", [False, True], ids=["mixed", "constant-lhs"])
+def test_min_cover_matches_baseline_on_constant_heavy_streams(seed, constant_lhs):
+    """Low var% (and all-constant LHS) over two-value constant pools.
+
+    The constants come from finite domains of size 2 so they collide,
+    but the covers run in the infinite-domain setting (no schema): the
+    streams hit conflicting constant bindings (vacuous implication) and
+    the constant-conflict screen, which the paper's random constants
+    from 1..100000 essentially never do.
+    """
+    rng = random.Random(4500 + seed)
+    schema = random_schema(
+        rng,
+        num_relations=2,
+        min_attributes=3,
+        max_attributes=5,
+        finite_domain_fraction=1.0,
+        finite_domain_size=2,
+    )
+    for var_pct in (0.0, 0.1, 0.25):
+        sigma = random_cfds(
+            rng,
+            schema,
+            14,
+            max_lhs=2,
+            min_lhs=1,
+            var_pct=var_pct,
+            constant_lhs=constant_lhs,
+        )
+        _assert_same_min_cover(sigma)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_packed_implication_matches_implies(seed):
+    """Single questions, on rule subsets, against ``core.implication``."""
+    rng = random.Random(4600 + seed)
+    attrs = ["A", "B", "C", "D"]
+    verdicts = set()
+    for _ in range(40):
+        sigma = sorted(
+            {
+                phi
+                for _ in range(rng.randint(2, 8))
+                for phi in [_small_cfd(rng, attrs)]
+                if not phi.is_trivial()
+            },
+            key=repr,
+        )
+        program = ImplicationProgram(sigma)
+        for _ in range(10):
+            query = _small_cfd(rng, attrs)
+            if query.is_trivial() or not query.attributes <= set(program.attrs):
+                continue
+            entries = [e for _, e in query.lhs + query.rhs if not is_wildcard(e)]
+            if any(e.value not in program.consts for e in entries):
+                continue
+            enabled = rng.getrandbits(len(sigma))
+            subset = [phi for i, phi in enumerate(sigma) if enabled >> i & 1]
+            want = implies(subset, query)
+            verdicts.add(want)
+            assert program.implies(
+                query.lhs, query.rhs_attr, query.rhs_entry, enabled
+            ) == want, (subset, query)
+    assert verdicts == {True, False}
+
+
+def _small_cfd(rng: random.Random, attrs: list[str]) -> CFD:
+    """A CFD over a tiny vocabulary: constants 1/2, self-references."""
+
+    def entry():
+        return WILDCARD if rng.random() < 0.4 else rng.choice([1, 2])
+
+    chosen = rng.sample(attrs, rng.randint(1, 3))
+    rhs = chosen[-1] if rng.random() < 0.8 else chosen[0]
+    return CFD("R", {a: entry() for a in chosen[:-1]}, {rhs: entry()})
+
+
+def test_min_cover_matches_baseline_on_self_constant_cfds():
+    """``(A -> A, (_ || a))`` forces a constant everywhere; MinCover
+    simplifies it to an empty LHS, which fires unconditionally."""
+    cases = [
+        [
+            CFD.constant("R", "A", 1),
+            CFD("R", {"A": 1}, {"B": 2}),
+            CFD("R", {"A": 1, "C": WILDCARD}, {"B": 2}),
+            CFD("R", {"B": WILDCARD}, {"C": WILDCARD}),
+            CFD("R", {"A": WILDCARD, "B": 2}, {"C": 3}),
+        ],
+        # Two global constants on one attribute: Sigma is inconsistent,
+        # every question is vacuously implied.
+        [
+            CFD.constant("R", "A", 1),
+            CFD.constant("R", "A", 2),
+            CFD("R", {"B": WILDCARD}, {"C": WILDCARD}),
+            CFD("R", {"C": 1, "D": WILDCARD}, {"B": 1}),
+        ],
+        [
+            CFD("R", {"A": 1}, {"A": 2}),  # A=1 never occurs
+            CFD("R", {"A": 1, "B": WILDCARD}, {"C": WILDCARD}),
+            CFD.constant("R", "B", 1),
+            CFD("R", {"B": 1}, {"C": 5}),
+        ],
+    ]
+    for sigma in cases:
+        assert _assert_same_min_cover(sigma)
+
+
+def test_equality_form_sigma_falls_back_to_baseline():
+    sigma = [
+        CFD.equality("V", "A", "B"),
+        CFD("V", {"A": WILDCARD}, {"C": WILDCARD}),
+        CFD("V", {"B": WILDCARD, "D": WILDCARD}, {"C": WILDCARD}),
+        CFD("R", {"A": WILDCARD, "B": WILDCARD}, {"C": WILDCARD}),
+        CFD("R", {"A": WILDCARD}, {"C": WILDCARD}),
+    ]
+    assert packed_min_cover_relation([phi for phi in sigma if phi.relation == "V"]) is None
+    cover = _assert_same_min_cover(sigma)
+    # The equality-free relation still minimizes: the redundant LHS goes.
+    assert CFD("R", {"A": WILDCARD}, {"C": WILDCARD}) in cover
+    assert CFD("R", {"A": WILDCARD, "B": WILDCARD}, {"C": WILDCARD}) not in cover
+
+
+def test_finite_domain_schema_falls_back_to_baseline(monkeypatch):
+    import repro.kernel.implication as packed
+
+    def refuse(current):
+        raise AssertionError("finite-domain MinCover reached the packed kernel")
+
+    monkeypatch.setattr(packed, "packed_min_cover_relation", refuse)
+    schema = RelationSchema(
+        "R",
+        [Attribute("A", finite("bit", [0, 1])), "B", "C"],
+    )
+    sigma = [
+        CFD("R", {"A": 0}, {"B": WILDCARD}),
+        CFD("R", {"A": 1}, {"B": WILDCARD}),
+        CFD("R", {"A": WILDCARD, "C": WILDCARD}, {"B": WILDCARD}),
+    ]
+    cover = _assert_same_min_cover(sigma, schema)
+    # With A ranging over {0, 1}, the two constant CFDs imply the third.
+    assert CFD("R", {"A": WILDCARD, "C": WILDCARD}, {"B": WILDCARD}) not in cover
+
+
+def test_core_does_not_import_the_kernel_at_module_level():
+    """``core/`` reaches ``repro.kernel`` only through function-local imports."""
+    import ast
+    from pathlib import Path
+
+    import repro.core
+
+    for path in Path(repro.core.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom):
+                assert "kernel" not in (node.module or ""), path.name
+            elif isinstance(node, ast.Import):
+                assert not any("kernel" in alias.name for alias in node.names), path.name

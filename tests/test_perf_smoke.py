@@ -134,3 +134,44 @@ def test_cover_many_shares_the_input_mincover():
     engine.cover_many(fds, views)
     assert engine.stats.rbr.drops == before
     assert engine.stats.cover_hits >= len(views)
+
+
+def test_input_mincover_sees_only_the_view_sources(fig5_fast, monkeypatch):
+    """Figure 2 line 1 minimizes Sigma on the view's sources alone.
+
+    The work shape, not a timing: on a fixed REPRO_FAST Fig 5 cover
+    (|Sigma|=200 over 10 relations, a view reading 3 of them), no CFD on
+    another relation reaches ``min_cover`` — through the engine or
+    through ``prop_cfd_spc_report`` — and the cover equals the one
+    computed from the MinCover of the full Sigma.
+    """
+    import repro.propagation.cover as cover_module
+    import repro.propagation.engine.core as engine_module
+    from repro.core.mincover import min_cover
+    from repro.propagation.cover import prop_cfd_spc_report
+    from repro.propagation.engine import touched_relations
+
+    _, view, pool = fig5_fast
+    sigma = pool[(200, 0.5)]
+    touched = touched_relations(view)
+    assert len(touched) < len({phi.relation for phi in sigma})
+
+    seen: list[set[str]] = []
+
+    def spy(cfds, *args, **kwargs):
+        cfds = list(cfds)
+        seen.append({phi.relation for phi in cfds})
+        return min_cover(cfds, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "min_cover", spy)
+    engine_cover = PropagationEngine().cover(sigma, view)
+    assert seen and seen[0] <= touched  # the engine's input MinCover
+
+    seen.clear()
+    monkeypatch.setattr(cover_module, "min_cover", spy)
+    report = prop_cfd_spc_report(sigma, view)
+    assert seen[0] <= touched  # line 1; line 13 runs on view CFDs
+
+    monkeypatch.undo()
+    reference = prop_cfd_spc_report(min_cover(sigma), view, minimize_input=False)
+    assert engine_cover == report.cover == reference.cover

@@ -27,8 +27,10 @@ Two entry points, following ``bench_fuzz.py``:
   largest size.  A second series, ``cold-cover``, times the packed
   implication of :mod:`repro.kernel.implication` on one cold |Sigma|=200
   Fig 5 cover (Sigma scoped to the view's sources, as ``PropCFD_SPC``
-  line 1 sees it): the input MinCover and the whole cover under each
-  kernel, with a byte-identity check of both.
+  line 1 sees it): the input MinCover (line 1), the final MinCover
+  (line 13, over ``Sigma_c`` plus the equality-form CFDs of ``EQ2CFD``)
+  and the whole cover under each kernel, with a byte-identity check of
+  each.
 
 Env knobs:
 
@@ -103,27 +105,43 @@ def _cold_cover(size: int = 200, var_pct: float = 0.5) -> tuple[dict, bool]:
     view = make_view(schema)
     sigma = make_sigma(schema, size, var_pct)
     scoped = scoped_sigma(sigma, touched_relations(view))
+    # The final MinCover's input: Sigma_c plus EQ2CFD's view CFDs, as
+    # line 13 receives them.
+    combined = prop_cfd_spc_report(sigma, view, final_min_cover=False).cover
     cells: dict[str, float] = {}
-    answers: dict[str, tuple] = {}
+    answers: dict[str, dict] = {}
     for kernel in KERNELS:
         mc_s, minimized = _best_of(lambda: min_cover(scoped, kernel=kernel))
+        final_s, final = _best_of(lambda: min_cover(combined, kernel=kernel))
         cover_s, report = _best_of(
             lambda: prop_cfd_spc_report(sigma, view, kernel=kernel)
         )
         cells[f"{kernel}_mincover_s"] = round(mc_s, 6)
+        cells[f"{kernel}_final_mincover_s"] = round(final_s, 6)
         cells[f"{kernel}_cover_s"] = round(cover_s, 6)
-        answers[kernel] = (
-            [repr(phi) for phi in minimized],
-            [repr(phi) for phi in report.cover],
-        )
-    identical = answers["bitset"] == answers["baseline"]
+        answers[kernel] = {
+            "mincover": [repr(phi) for phi in minimized],
+            "final_mincover": [repr(phi) for phi in final],
+            "cover": [repr(phi) for phi in report.cover],
+        }
+    same = {
+        f"{leg}_identical": answers["bitset"][leg] == answers["baseline"][leg]
+        for leg in answers["baseline"]
+    }
+    identical = all(same.values())
     entry = {
         "workload": f"Fig 5 view (|Y|=25, |F|=10, |Ec|=4), |Sigma|={size}, var%={int(var_pct * 100)}",
         "repeats": REPEATS,
         "scoped_sigma": len(scoped),
+        "final_input": len(combined),
+        "final_equality_cfds": sum(phi.is_equality for phi in combined),
         **cells,
         "mincover_speedup": round(cells["baseline_mincover_s"] / cells["bitset_mincover_s"], 2),
+        "final_mincover_speedup": round(
+            cells["baseline_final_mincover_s"] / cells["bitset_final_mincover_s"], 2
+        ),
         "cover_speedup": round(cells["baseline_cover_s"] / cells["bitset_cover_s"], 2),
+        **same,
         "identical": identical,
     }
     return entry, identical
@@ -210,7 +228,10 @@ def _smoke() -> int:
         f"bench_kernel --smoke: cold Fig 5 cover MinCover "
         f"baseline={cover_entry['baseline_mincover_s'] * 1e3:.1f}ms "
         f"bitset={cover_entry['bitset_mincover_s'] * 1e3:.1f}ms "
-        f"({cover_entry['mincover_speedup']}x), identical={identical}"
+        f"({cover_entry['mincover_speedup']}x), final MinCover "
+        f"baseline={cover_entry['baseline_final_mincover_s'] * 1e3:.1f}ms "
+        f"bitset={cover_entry['bitset_final_mincover_s'] * 1e3:.1f}ms "
+        f"({cover_entry['final_mincover_speedup']}x), identical={identical}"
     )
     if not identical:
         print("bench_kernel --smoke: packed MinCover diverges from the baseline", file=sys.stderr)

@@ -37,9 +37,9 @@ def min_cover(
     normal-form, nontrivial CFDs.
 
     *kernel* ``"bitset"`` answers the implication tests on the packed
-    program of :mod:`repro.kernel.implication` (byte-identical covers);
-    anything else, a finite-domain *schema* and a relation holding an
-    equality-form CFD run :func:`~repro.core.implication.implies`.
+    program of :mod:`repro.kernel.implication` (byte-identical covers,
+    equality-form CFDs included); any other kernel and a finite-domain
+    *schema* run :func:`~repro.core.implication.implies`.
     """
     normalized: list[CFD] = []
     for dep in sigma:
@@ -70,9 +70,7 @@ def _min_cover_relation(
     if packed:
         from ..kernel.implication import packed_min_cover_relation
 
-        cover = packed_min_cover_relation(current)
-        if cover is not None:
-            return cover
+        return packed_min_cover_relation(current)
 
     current = [_trim_lhs(phi, current, schema) for phi in current]
     current = sorted(set(current), key=repr)
@@ -114,13 +112,15 @@ def partitioned_min_cover(
     sigma: Iterable[CFD],
     partition_size: int,
     schema: RelationSchema | None = None,
+    kernel: str | None = None,
 ) -> list[CFD]:
     """MinCover applied partition-wise (the paper's RBR optimization).
 
     Partitions *sigma* into blocks of ``partition_size`` and minimizes each
     independently: removes redundancy "to an extent, without increasing the
     worst-case complexity" (Section 4.3) — each block costs
-    ``O(partition_size^2)`` implication tests.
+    ``O(partition_size^2)`` implication tests, answered under *kernel*
+    as in :func:`min_cover`.
     """
     sigma = list(sigma)
     if partition_size <= 0:
@@ -128,5 +128,5 @@ def partitioned_min_cover(
     result: list[CFD] = []
     for start in range(0, len(sigma), partition_size):
         block = sigma[start : start + partition_size]
-        result.extend(min_cover(block, schema))
+        result.extend(min_cover(block, schema, kernel))
     return result

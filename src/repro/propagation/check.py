@@ -130,10 +130,12 @@ class Counterexample:
 
     ``database`` satisfies the source dependencies while the view evaluated
     on it violates the view dependency; ``branch_pair`` records which
-    disjuncts produced the violating tuples.
+    disjuncts produced the violating tuples.  ``database`` is ``None``
+    only for a verdict-only search (``find_counterexample(...,
+    witness=False)``) that the packed kernel refuted.
     """
 
-    database: DatabaseInstance
+    database: DatabaseInstance | None
     branch_pair: tuple[int, int]
 
 
@@ -359,6 +361,7 @@ def propagates(
             cache=cache,
             pairs=pairs,
             kernel=kernel,
+            witness=False,
         )
         is None
     )
@@ -373,6 +376,8 @@ def find_counterexample(
     cache: BranchPairCache | None = None,
     pairs: Iterable[tuple[int, int]] | None = None,
     kernel: str | None = None,
+    *,
+    witness: bool = True,
 ) -> Counterexample | None:
     """Search for a source instance witnessing ``Sigma |/=_V phi``.
 
@@ -396,6 +401,12 @@ def find_counterexample(
     setting only; identical answers, differential-tested).  The default
     ``None`` keeps the baseline everywhere, so library callers and the
     fuzz oracle are untouched by the engine's kernel selection.
+
+    ``witness=False`` is the verdict-only search of :func:`propagates`:
+    a pair the packed runner refutes is returned at once, with no
+    database, instead of being re-chased on the baseline to rebuild the
+    witness (the runner's outcome for that premise is already shared
+    across every RHS attribute, as the baseline's chased tier is).
     """
     sigma_cfds, sigma_key = _sigma_state(sigma)
     if isinstance(phi, FD):
@@ -416,7 +427,7 @@ def find_counterexample(
                 "that the view does not project"
             )
         if normal_phi.is_equality:
-            witness = _equality_counterexample(
+            found = _equality_counterexample(
                 sigma_cfds,
                 branches,
                 normal_phi,
@@ -427,7 +438,7 @@ def find_counterexample(
                 sigma_key,
             )
         else:
-            witness = _pair_counterexample(
+            found = _pair_counterexample(
                 sigma_cfds,
                 branches,
                 normal_phi,
@@ -437,9 +448,10 @@ def find_counterexample(
                 pair_list,
                 kernel,
                 sigma_key,
+                witness,
             )
-        if witness is not None:
-            return witness
+        if found is not None:
+            return found
     return None
 
 
@@ -479,6 +491,7 @@ def _pair_counterexample(
     pairs: list[tuple[int, int]] | None = None,
     kernel: str | None = None,
     sigma_key: frozenset | None = None,
+    witness: bool = True,
 ) -> Counterexample | None:
     rhs_attr = phi.rhs_attr
     rhs_entry = phi.rhs_entry
@@ -499,9 +512,11 @@ def _pair_counterexample(
             if runner.usable:
                 if hit is None:
                     return None
-                witness = _pair_witness(sigma, branches, phi, cache, sigma_key, hit)
-                if witness is not None:
-                    return witness
+                if not witness:
+                    return Counterexample(None, hit)
+                found = _pair_witness(sigma, branches, phi, cache, sigma_key, hit)
+                if found is not None:
+                    return found
                 # A disagreement between the packed verdict and the
                 # baseline witness would land here; fall through to the
                 # full baseline sweep so the answer is always baseline.

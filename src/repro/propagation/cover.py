@@ -123,8 +123,10 @@ def prop_cfd_spc_report(
     pre-minimize the scoped Sigma once and share it across many views;
     *rbr_stats* accumulates RBR work counters across calls.  *kernel*
     ``"bitset"`` selects the packed ``ComputeEQ`` union-find and the
-    packed implication tests of both ``MinCover`` runs (lines 1 and 13);
-    answers are identical either way.
+    packed implication tests of every ``MinCover`` run (line 1, RBR's
+    partitioned passes and line 13, whose equality-form CFDs from
+    ``EQ2CFD`` run on class representatives); answers are identical
+    either way.
     """
     timer = time.perf_counter
 
@@ -166,7 +168,9 @@ def prop_cfd_spc_report(
     start = timer()
     dropped = view.dropped_attributes()
     report.dropped_attributes = len(dropped)
-    sigma_c = rbr(sigma_v, dropped, partition_size=partition_size, stats=rbr_stats)  # line 11
+    sigma_c = rbr(
+        sigma_v, dropped, partition_size=partition_size, stats=rbr_stats, kernel=kernel
+    )  # line 11
     report.after_rbr_size = len(sigma_c)
     report.seconds_rbr = timer() - start
 

@@ -975,6 +975,7 @@ class PropagationEngine:
                         cache=cache,
                         pairs=plan,
                         kernel=self.kernel,
+                        witness=False,
                     )
                     is None
                     for plan in live_plans
@@ -1015,6 +1016,7 @@ class PropagationEngine:
                 assume_infinite=self.assume_infinite,
                 cache=cache,
                 kernel=self.kernel,
+                witness=False,
             )
             is None
             for phi_cfd in miss_phis
@@ -1142,6 +1144,7 @@ class PropagationEngine:
                             cache=cache,
                             pairs=[(i, j)],
                             kernel=self.kernel,
+                            witness=False,
                         )
                         is None
                     )
@@ -1326,6 +1329,7 @@ class PropagationEngine:
                         view,
                         max_instantiations=self.max_instantiations,
                         check_many=self.check_many,
+                        kernel=kernel,
                     )
                 # The cached path additionally threads the delta-aware
                 # seams: a provenance-keyed memo under the per-branch
@@ -1376,6 +1380,7 @@ class PropagationEngine:
                     branch_cover=branch_cover,
                     seed=seed,
                     seed_report=seed_report if seed else None,
+                    kernel=kernel,
                 )
         minimized = self._minimized_sigma(
             scoped_sigma(sigma_cfds, touched_relations(view)), kernel

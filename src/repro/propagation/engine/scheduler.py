@@ -158,6 +158,7 @@ def _shard_check_worker(payload: tuple) -> tuple[list[bool], dict]:
             cache=cache,
             pairs=pairs,
             kernel=kernel,
+            witness=False,
         )
         is not None
         for phi in phis

@@ -38,7 +38,7 @@ from ..core.cfd import CFD
 from ..core.mincover import min_cover
 from ..core.values import is_const
 from .check import DependencyLike, propagates
-from .cover import prop_cfd_spc
+from .cover import prop_cfd_spc_report
 from .eqclasses import BottomEQ, compute_eq
 
 
@@ -87,6 +87,7 @@ def prop_cfd_spcu(
     branch_cover=None,
     seed: list[CFD] | None = None,
     seed_report=None,
+    kernel: str | None = None,
 ) -> list[CFD]:
     """A propagation cover of *sigma* via the SPCU view *view*.
 
@@ -105,7 +106,7 @@ def prop_cfd_spcu(
 
     *branch_cover* substitutes the per-branch pool generator (signature
     ``(sigma, branch, partition_size) -> list[CFD]``; default is the
-    verbatim :func:`~repro.propagation.cover.prop_cfd_spc` call) — the
+    verbatim :func:`~repro.propagation.cover.prop_cfd_spc_report` call) — the
     engine's delta path injects a provenance-keyed memo here, so after a
     Sigma edit only the branches reading the edited relation recompute
     their covers.  The substitute must return exactly what the default
@@ -119,6 +120,11 @@ def prop_cfd_spcu(
     cover is ``MinCover`` of the full pool's survivors either way
     (byte-identical to a cold run by construction); *seed_report* (a
     ``bool -> None`` callback) receives the hit/miss outcome.
+
+    *kernel* selects the ``MinCover`` implication tests of the default
+    branch covers and of the final union ``MinCover`` (see
+    :func:`~repro.core.mincover.min_cover`); covers are identical either
+    way.
     """
     if check is None:
         check = propagates
@@ -126,7 +132,9 @@ def prop_cfd_spcu(
     per_branch_covers = [
         branch_cover(sigma, branch, partition_size)
         if branch_cover is not None
-        else prop_cfd_spc(sigma, branch, partition_size=partition_size)
+        else prop_cfd_spc_report(
+            sigma, branch, partition_size=partition_size, kernel=kernel
+        ).cover
         for branch in branches
     ]
     guards = [branch_guards(branch) for branch in branches]
@@ -175,4 +183,4 @@ def prop_cfd_spcu(
     survivors = [
         phi for phi, verdict in zip(candidates, verify(candidates)) if verdict
     ]
-    return min_cover(survivors)
+    return min_cover(survivors, kernel=kernel)

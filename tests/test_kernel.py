@@ -21,17 +21,19 @@ seeded random streams so failures reproduce:
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from repro import CFD
+from repro import io as repro_io
 from repro.core.domains import finite
 from repro.core.fd import FD, _closure_fixpoint
 from repro.core.implication import implies
 from repro.core.mincover import min_cover
 from repro.core.schema import Attribute, RelationSchema
-from repro.core.values import WILDCARD, is_wildcard
+from repro.core.values import WILDCARD, is_const, is_special, is_wildcard
 from repro.generators import random_cfds, random_schema, random_spcu_view
 from repro.kernel import (
     DEFAULT_KERNEL,
@@ -44,6 +46,7 @@ from repro.kernel import (
 from repro.kernel.implication import ImplicationProgram, packed_min_cover_relation
 from repro.propagation.cover import prop_cfd_spc_report
 from repro.propagation.eqclasses import BottomEQ, EquivalenceClasses
+from repro.propagation.rbr import rbr
 from repro.propagation.engine import PropagationEngine
 
 SEEDS = [0, 1, 2, 3]
@@ -218,10 +221,6 @@ def _workload(seed: int):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kernels_agree_on_verdicts_and_witnesses(seed):
-    import json
-
-    from repro import io as repro_io
-
     sigma, view, phis = _workload(seed)
     bitset = PropagationEngine(kernel="bitset")
     baseline = PropagationEngine(kernel="baseline")
@@ -263,6 +262,41 @@ def test_kernel_engine_still_counts_chases():
     # Closure-memo counters (PR 9 satellite) are surfaced too.
     assert stats.closure_hits >= 0 and stats.closure_misses >= 0
     assert "closure=" in repr(stats)
+
+
+def test_kernel_refutations_share_the_chase_like_the_baseline():
+    """A refuted query's verdict needs no witness: the packed runner's
+    outcome per (pair, LHS) serves every RHS, so the bitset engine runs
+    no more chases than the baseline kernel, and a witness request still
+    gets the baseline's database."""
+    from repro.algebra.spc import RelationAtom, SPCView
+    from repro.core.schema import DatabaseSchema
+    from repro.propagation.closure_baseline import exponential_family
+
+    n = 4
+    schema, fds, projection = exponential_family(n)
+    view = SPCView(
+        "V",
+        DatabaseSchema([schema]),
+        [RelationAtom("R", {a: a for a in schema.attribute_names})],
+        projection=projection,
+    )
+    sigma = fds + [CFD("R", {"A1": "1"}, {"D": "9"})]
+    queries = []
+    for mask in range(2**n):
+        lhs = tuple(f"A{i + 1}" if mask >> i & 1 else f"B{i + 1}" for i in range(n))
+        queries += [FD("V", lhs, ("D",)), FD("V", lhs, ("A1",))]
+    engines = {kernel: PropagationEngine(kernel=kernel) for kernel in KERNELS}
+    verdicts = {k: e.check_many(sigma, view, queries) for k, e in engines.items()}
+    assert verdicts["bitset"] == verdicts["baseline"]
+    assert False in verdicts["bitset"]
+    assert engines["bitset"].stats.chase_invocations == engines["baseline"].stats.chase_invocations
+    refuted = queries[verdicts["bitset"].index(False)]
+    packed, plain = (e.find_counterexample(sigma, view, refuted) for e in engines.values())
+    assert packed.branch_pair == plain.branch_pair
+    assert json.dumps(
+        repro_io.instance_to_json(packed.database), sort_keys=True
+    ) == json.dumps(repro_io.instance_to_json(plain.database), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +509,7 @@ def test_min_cover_matches_baseline_on_self_constant_cfds():
         assert _assert_same_min_cover(sigma)
 
 
-def test_equality_form_sigma_falls_back_to_baseline():
+def test_equality_form_sigma_matches_baseline():
     sigma = [
         CFD.equality("V", "A", "B"),
         CFD("V", {"A": WILDCARD}, {"C": WILDCARD}),
@@ -483,11 +517,160 @@ def test_equality_form_sigma_falls_back_to_baseline():
         CFD("R", {"A": WILDCARD, "B": WILDCARD}, {"C": WILDCARD}),
         CFD("R", {"A": WILDCARD}, {"C": WILDCARD}),
     ]
-    assert packed_min_cover_relation([phi for phi in sigma if phi.relation == "V"]) is None
+    view_sigma = sorted((phi for phi in sigma if phi.relation == "V"), key=repr)
+    # Under A = B, B D -> C trims to B -> C, which makes A -> C
+    # redundant; the equality itself is never trimmed.
+    assert packed_min_cover_relation(view_sigma) == [
+        CFD.equality("V", "A", "B"),
+        CFD("V", {"B": WILDCARD}, {"C": WILDCARD}),
+    ]
     cover = _assert_same_min_cover(sigma)
     # The equality-free relation still minimizes: the redundant LHS goes.
     assert CFD("R", {"A": WILDCARD}, {"C": WILDCARD}) in cover
     assert CFD("R", {"A": WILDCARD, "B": WILDCARD}, {"C": WILDCARD}) not in cover
+
+
+EQ_ATTRS = ["A", "B", "C", "D", "E", "F"]
+
+
+def _equality_heavy_cfd(rng: random.Random) -> CFD:
+    """A CFD over 6 attributes and constants 1/2; a quarter equality-form."""
+    if rng.random() < 0.25:
+        return CFD.equality("R", *rng.sample(EQ_ATTRS, 2))
+
+    def entry():
+        return WILDCARD if rng.random() < 0.5 else rng.choice([1, 2])
+
+    chosen = rng.sample(EQ_ATTRS, rng.randint(2, 4))
+    rhs = chosen[-1] if rng.random() < 0.85 else chosen[0]
+    return CFD("R", {a: entry() for a in chosen[:-1]}, {rhs: entry()})
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_min_cover_matches_baseline_on_equality_heavy_sigma(monkeypatch, block):
+    """Equality-form rules run on class representatives.
+
+    50 seeded Sigma sets per block (1-10 CFDs).  A spy on the packed
+    program confirms the stream reaches the two equality-specific
+    corners: a question whose LHS puts two different constants on one
+    class (vacuously implied), and an equality-form question in the
+    redundancy phase.
+    """
+    seen = {"conflict": 0, "equality": 0}
+    original = ImplicationProgram.implies
+
+    def spy(self, lhs, rhs_attr, rhs_entry, enabled=None):
+        rep = self._view((self.all_rules if enabled is None else enabled) & self.eq_rules)[0]
+        if is_special(rhs_entry):
+            seen["equality"] += 1
+        bound: dict[int, object] = {}
+        for name, entry in lhs:
+            if is_const(entry) and bound.setdefault(rep[self.attrs[name]], entry.value) != entry.value:
+                seen["conflict"] += 1
+                break
+        return original(self, lhs, rhs_attr, rhs_entry, enabled)
+
+    monkeypatch.setattr(ImplicationProgram, "implies", spy)
+    for seed in range(50 * block, 50 * (block + 1)):
+        rng = random.Random(4700 + seed)
+        sigma = [_equality_heavy_cfd(rng) for _ in range(rng.randint(1, 10))]
+        _assert_same_min_cover(sigma)
+    assert seen["conflict"] > 0
+    assert seen["equality"] > 0
+
+
+def test_packed_implication_matches_implies_on_equality_queries():
+    """Single questions under equality rules, equality-form ones too."""
+    rng = random.Random(4800)
+    verdicts = set()
+    for _ in range(300):
+        sigma = sorted(
+            {
+                phi
+                for _ in range(rng.randint(2, 8))
+                for phi in [_equality_heavy_cfd(rng)]
+                if not phi.is_trivial()
+            },
+            key=repr,
+        )
+        program = ImplicationProgram(sigma)
+        for _ in range(5):
+            query = _equality_heavy_cfd(rng)
+            if query.is_trivial() or not query.attributes <= set(program.attrs):
+                continue
+            entries = [e for _, e in query.lhs + query.rhs if is_const(e)]
+            if any(e.value not in program.consts for e in entries):
+                continue
+            enabled = rng.getrandbits(len(sigma))
+            subset = [phi for i, phi in enumerate(sigma) if enabled >> i & 1]
+            want = implies(subset, query)
+            verdicts.add((query.is_equality, want))
+            assert program.implies(
+                query.lhs, query.rhs_attr, query.rhs_entry, enabled
+            ) == want, (subset, query)
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_bitset_cover_makes_no_baseline_implication_calls(monkeypatch, fig5_fast):
+    """Work shape: with the bitset kernel no ``MinCover`` of a cover —
+    input, RBR-partitioned or final (equality-form CFDs included) —
+    reaches ``core.implication.implies``; the covers are computed with
+    the baseline first and must come out identical."""
+    import repro.core.implication
+    import repro.core.mincover
+
+    _, view, pool = fig5_fast
+    sigma = pool[(200, 0.5)]
+    want = prop_cfd_spc_report(sigma, view, kernel="baseline").cover
+    assert any(phi.is_equality for phi in want)
+    gamma = [
+        CFD("R", {"X": WILDCARD}, {"A": WILDCARD}),
+        CFD("R", {"Y": WILDCARD}, {"A": WILDCARD}),
+        CFD("R", {"A": WILDCARD, "Z": WILDCARD}, {"B": WILDCARD}),
+        CFD("R", {"B": WILDCARD}, {"C": WILDCARD}),
+    ]
+    want_rbr = rbr(gamma, ["A", "B"], partition_size=1, kernel="baseline")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bitset MinCover reached core.implication.implies")
+
+    monkeypatch.setattr(repro.core.implication, "implies", refuse)
+    monkeypatch.setattr(repro.core.mincover, "implies", refuse)
+    assert prop_cfd_spc_report(sigma, view, kernel="bitset").cover == want
+    assert PropagationEngine(kernel="bitset").cover(sigma, view) == want
+    assert rbr(gamma, ["A", "B"], partition_size=1, kernel="bitset") == want_rbr
+
+
+def test_spcu_cover_runs_every_min_cover_on_the_engine_kernel(
+    monkeypatch, customer_sigma, customer_view
+):
+    """The union MinCover and the branch covers of ``prop_cfd_spcu``
+    take the cached engine's kernel; the uncached engine stays the
+    baseline oracle."""
+    import repro.core.mincover
+
+    want = PropagationEngine(use_cache=False, kernel="baseline").cover(
+        customer_sigma, customer_view
+    )
+    kernels = []
+    original = repro.core.mincover.min_cover
+
+    def spy(sigma, schema=None, kernel=None):
+        kernels.append(kernel)
+        return original(sigma, schema, kernel)
+
+    for module in (
+        "repro.core.mincover",
+        "repro.propagation.cover",
+        "repro.propagation.spcu_cover",
+        "repro.propagation.engine.core",
+    ):
+        monkeypatch.setattr(f"{module}.min_cover", spy)
+    assert PropagationEngine(kernel="bitset").cover(customer_sigma, customer_view) == want
+    assert kernels and set(kernels) == {"bitset"}
+    kernels.clear()
+    PropagationEngine(use_cache=False, kernel="bitset").cover(customer_sigma, customer_view)
+    assert kernels and set(kernels) == {"baseline"}
 
 
 def test_finite_domain_schema_falls_back_to_baseline(monkeypatch):
